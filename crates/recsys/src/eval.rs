@@ -12,6 +12,9 @@
 //! RecNum differences between two attacks reflect the attacks, not
 //! candidate-sampling noise. This matters for the RL reward signal.
 
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -27,6 +30,14 @@ pub struct EvalProtocol {
     top_k: usize,
     n_original_candidates: usize,
     candidate_seed: u64,
+    /// `(num_items, num_targets)` of the dataset the protocol was
+    /// sampled from: the catalog shape the cached candidates belong to.
+    catalog_shape: (u32, u32),
+    /// Each evaluation user's candidate set (indexed like
+    /// `eval_users`), drawn on first use and shared by every clone.
+    /// Every observation ranks every evaluation user, so the draw is
+    /// paid once per protocol instead of once per read.
+    eval_candidates: Arc<[OnceLock<Box<[ItemId]>>]>,
 }
 
 impl EvalProtocol {
@@ -53,17 +64,24 @@ impl EvalProtocol {
         users.truncate(n_users);
         users.sort_unstable();
         Self {
+            eval_candidates: Self::empty_cache(users.len()),
             eval_users: users,
             top_k: 10,
             n_original_candidates: 92,
             candidate_seed: seed,
+            catalog_shape: (base.num_items(), base.num_targets()),
         }
+    }
+
+    fn empty_cache(n_users: usize) -> Arc<[OnceLock<Box<[ItemId]>>]> {
+        (0..n_users).map(|_| OnceLock::new()).collect()
     }
 
     /// Overrides the paper defaults (top-10 of 92+|I_t| candidates).
     pub fn with_list_shape(mut self, top_k: usize, n_original_candidates: usize) -> Self {
         self.top_k = top_k;
         self.n_original_candidates = n_original_candidates;
+        self.eval_candidates = Self::empty_cache(self.eval_users.len());
         self
     }
 
@@ -78,6 +96,26 @@ impl EvalProtocol {
     /// Deterministic candidate set for `user`: `n_original_candidates`
     /// distinct original items plus every target item.
     pub fn candidates(&self, base: &Dataset, user: UserId) -> Vec<ItemId> {
+        self.candidates_ref(base, user).into_owned()
+    }
+
+    /// [`EvalProtocol::candidates`], borrowed from the shared cache for
+    /// evaluation users of the sampling dataset's catalog and drawn
+    /// fresh for anyone else.
+    fn candidates_ref(&self, base: &Dataset, user: UserId) -> Cow<'_, [ItemId]> {
+        if (base.num_items(), base.num_targets()) != self.catalog_shape {
+            return Cow::Owned(self.draw_candidates(base, user));
+        }
+        match self.eval_users.binary_search(&user) {
+            Ok(slot) => Cow::Borrowed(
+                self.eval_candidates[slot]
+                    .get_or_init(|| self.draw_candidates(base, user).into_boxed_slice()),
+            ),
+            Err(_) => Cow::Owned(self.draw_candidates(base, user)),
+        }
+    }
+
+    fn draw_candidates(&self, base: &Dataset, user: UserId) -> Vec<ItemId> {
         let mut rng =
             StdRng::seed_from_u64(self.candidate_seed ^ (0x9E37_79B9 * u64::from(user) + 1));
         let n = self.n_original_candidates.min(base.num_items() as usize);
@@ -116,7 +154,7 @@ impl EvalProtocol {
         user: UserId,
         k: usize,
     ) -> Vec<ItemId> {
-        let candidates = self.candidates(base, user);
+        let candidates = self.candidates_ref(base, user);
         let scores = ranker.score(user, base.sequence(user), &candidates);
         top_k_items(&candidates, &scores, k)
     }
@@ -249,6 +287,72 @@ mod tests {
         originals.dedup();
         assert_eq!(before, originals.len(), "duplicate original candidates");
         assert_eq!(c1.iter().filter(|&&i| d.is_target(i)).count(), 8);
+    }
+
+    /// An independent copy of the candidate draw (fresh RNG and set
+    /// per call): the reference both the cached and the uncached path
+    /// must reproduce.
+    fn reference_candidates(p: &EvalProtocol, base: &Dataset, user: UserId) -> Vec<ItemId> {
+        let mut rng = StdRng::seed_from_u64(p.candidate_seed ^ (0x9E37_79B9 * u64::from(user) + 1));
+        let n = p.n_original_candidates.min(base.num_items() as usize);
+        let mut picked = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let total = base.num_items();
+        for j in (total - n as u32)..total {
+            let t = rng.gen_range(0..=j);
+            let pick = if seen.contains(&t) { j } else { t };
+            seen.insert(pick);
+            picked.push(pick);
+        }
+        picked.extend(base.target_items());
+        picked
+    }
+
+    #[test]
+    fn cached_eval_candidates_equal_the_reference_draw() {
+        let d = toy();
+        let p = EvalProtocol::sample(&d, 10, 7).with_list_shape(10, 30);
+        let clone = p.clone();
+        for &user in p.eval_users() {
+            let cached = p.candidates_ref(&d, user);
+            assert!(
+                matches!(cached, Cow::Borrowed(_)),
+                "eval user {user} not cached"
+            );
+            assert_eq!(*cached, reference_candidates(&p, &d, user)[..]);
+            // Clones share one cache: the second read is the same slice.
+            assert!(std::ptr::eq(&*cached, &*clone.candidates_ref(&d, user)));
+        }
+        // Other users, or a dataset of another catalog shape, draw fresh.
+        let other = (0..d.num_users()).find(|u| !p.eval_users().contains(u));
+        let other = other.expect("toy has users outside the sample");
+        assert!(matches!(p.candidates_ref(&d, other), Cow::Owned(_)));
+        assert_eq!(p.candidates(&d, other), reference_candidates(&p, &d, other));
+        let histories = (0..20).map(|u| vec![u % 40, (u + 1) % 40]).collect();
+        let smaller = Dataset::from_histories("smaller", histories, 40, 8);
+        let user = p.eval_users()[0];
+        assert!(matches!(p.candidates_ref(&smaller, user), Cow::Owned(_)));
+        assert_eq!(
+            p.candidates(&smaller, user),
+            reference_candidates(&p, &smaller, user)
+        );
+    }
+
+    #[test]
+    fn recommend_k_is_the_reference_top_k_for_every_user() {
+        let d = toy();
+        let p = EvalProtocol::sample(&d, 10, 7).with_list_shape(10, 30);
+        for user in 0..d.num_users() {
+            for k in [1, 10, 25] {
+                let candidates = reference_candidates(&p, &d, user);
+                let scores = IdRanker.score(user, d.sequence(user), &candidates);
+                assert_eq!(
+                    p.recommend_k(&IdRanker, &d, user, k),
+                    top_k_items(&candidates, &scores, k),
+                    "user {user}, k {k}"
+                );
+            }
+        }
     }
 
     #[test]

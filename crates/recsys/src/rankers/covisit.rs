@@ -8,6 +8,7 @@
 //! target/popular clicks) beat bag-of-clicks attacks on it.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::data::{ItemId, LogView, UserId};
 use crate::rankers::Ranker;
@@ -15,11 +16,42 @@ use crate::rankers::Ranker;
 /// How many trailing history items contribute to a user's score.
 const HISTORY_WINDOW: usize = 10;
 
+/// A multiply-rotate hasher in the style of rustc's `FxHasher`, for
+/// the edge maps' [`ItemId`] keys. Scoring one candidate list is about
+/// a thousand map lookups, and SipHash's flooding resistance buys
+/// nothing here: keys are catalog ids (the serving layer rejects
+/// anything `>= catalog`), so no client can pick colliding keys.
+#[derive(Clone, Copy, Debug, Default)]
+struct ItemHasher(u64);
+
+impl Hasher for ItemHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `co-visited item -> co-visit count` for one item.
+type EdgeMap = HashMap<ItemId, f32, BuildHasherDefault<ItemHasher>>;
+
 /// Item-to-item co-visitation ranker.
 #[derive(Clone, Debug, Default)]
 pub struct CoVisitation {
     /// `edges[a]` maps co-visited item `b` to the co-visit count.
-    edges: Vec<HashMap<ItemId, f32>>,
+    edges: Vec<EdgeMap>,
     catalog: usize,
 }
 
@@ -30,7 +62,7 @@ impl CoVisitation {
 
     fn ensure_catalog(&mut self, catalog: usize) {
         if self.edges.len() < catalog {
-            self.edges.resize_with(catalog, HashMap::new);
+            self.edges.resize_with(catalog, EdgeMap::default);
         }
         self.catalog = catalog;
     }
@@ -57,7 +89,7 @@ impl CoVisitation {
 
     /// Number of stored directed edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(HashMap::len).sum()
+        self.edges.iter().map(EdgeMap::len).sum()
     }
 }
 

@@ -6,14 +6,26 @@
 //! `PoisonRecTrainer` drives it unchanged — the realistic threat model
 //! where the attacker only touches the system's query interface.
 //!
-//! One observation maps onto three endpoint interactions:
+//! One observation is `2 + E` requests (E = evaluation users) in
+//! three round trips on one keep-alive connection:
 //!
 //! 1. `POST /feedback` — inject the candidate poison trajectories;
 //! 2. `POST /retrain`  — the server drains the pending feedback,
 //!    fine-tunes off its own observation seed stream, and publishes a
 //!    new generation (the response carries the generation and seed);
-//! 3. `GET /recommend/{user}?k=` per evaluation user — the client
-//!    counts target hits itself, reconstructing `RecNum`.
+//! 3. `GET /recommend/{user}?k=` per evaluation user, HTTP/1.1
+//!    pipelined: the client keeps up to [`PIPELINE_WINDOW`] requests
+//!    in flight and reads the responses in order, so the E polls cost
+//!    about one round trip. It counts target hits itself,
+//!    reconstructing `RecNum`, and checks every response against the
+//!    retrain's generation.
+//!
+//! The window is bounded because the client does not read while it
+//! writes. The requests it has written and the responses they have
+//! produced sit in the socket buffers until the client reads them. At
+//! 32 that is ~2 KiB of requests and ~8 KiB of `k = 10` responses, far
+//! below the kernel's default buffers whatever E is. Half a window is
+//! written at a time, so the server always has requests queued.
 //!
 //! Because the server consumes the *same* `seed_for_ordinal` stream as
 //! the in-process system and serves recommendations through the same
@@ -72,9 +84,14 @@ impl From<std::io::Error> for RemoteError {
     }
 }
 
+/// The most recommend polls an observation leaves unanswered on the
+/// connection at once (see the module docs for why it is bounded).
+pub const PIPELINE_WINDOW: usize = 32;
+
 /// A minimal blocking HTTP/1.1 client: one keep-alive connection,
-/// JSON bodies, `Content-Length` framing. Reconnects transparently
-/// when the server closed an idle connection.
+/// JSON bodies, `Content-Length` framing. Reconnects when the server
+/// closed an idle connection ([`HttpClient::request`] says which
+/// requests are retried).
 pub struct HttpClient {
     addr: String,
     stream: Option<BufReader<TcpStream>>,
@@ -131,10 +148,11 @@ impl HttpClient {
     /// as JSON when present. Returns the status code and parsed JSON
     /// body (every endpoint of the served system answers JSON).
     ///
-    /// A send failure on a *reused* connection (the server idle-closed
-    /// it) reconnects and retries once; a failure after the request
-    /// reached a fresh connection is surfaced, never retried — a
-    /// replayed `POST /retrain` would consume a second seed ordinal.
+    /// A failure on a *reused* connection (the server may have
+    /// idle-closed it) reconnects and retries once, but only when the
+    /// request provably never reached the server (its write failed) or
+    /// is a `GET`, which is idempotent. Any other failure is surfaced:
+    /// a replayed `POST /retrain` would consume a second seed ordinal.
     pub fn request(
         &mut self,
         method: &str,
@@ -142,9 +160,7 @@ impl HttpClient {
         body: Option<&Json>,
     ) -> Result<(u16, Json), RemoteError> {
         let (status, text) = self.request_text(method, path, body)?;
-        let parsed = json::parse(&text)
-            .map_err(|err| RemoteError::Protocol(format!("unparseable body ({err}): {text}")))?;
-        Ok((status, parsed))
+        Ok((status, parse_body(&text)?))
     }
 
     /// Like [`HttpClient::request`] but returns the response body as
@@ -156,41 +172,107 @@ impl HttpClient {
         path: &str,
         body: Option<&Json>,
     ) -> Result<(u16, String), RemoteError> {
+        let rendered = body.map(Json::render);
+        let mut request = Vec::new();
+        render_request(&mut request, method, path, rendered.as_deref());
         let reused = self.stream.is_some();
-        match self.try_request(method, path, body) {
-            Err(RemoteError::Io(err)) if reused => {
+        let mut written = false;
+        let result = self.send(&request).and_then(|()| {
+            written = true;
+            self.receive()
+        });
+        match result {
+            Err(RemoteError::Io(_)) if reused && (!written || method == "GET") => {
                 // Stale keep-alive connection: dial fresh and retry.
-                let _ = err;
-                self.stream = None;
-                self.try_request(method, path, body)
+                self.send(&request)?;
+                self.receive()
             }
             other => other,
         }
     }
 
-    fn try_request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&Json>,
-    ) -> Result<(u16, String), RemoteError> {
-        let rendered = body.map(|b| b.render());
-        let payload = rendered.as_deref().unwrap_or("");
-        let reader = self.ensure_connected()?;
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n{}\r\n",
-            payload.len(),
-            if body.is_some() {
-                "Content-Type: application/json\r\n"
-            } else {
-                ""
+    /// `GET`s every path on the keep-alive connection with HTTP/1.1
+    /// pipelining and returns the responses in request order. At most
+    /// [`PIPELINE_WINDOW`] requests are unanswered at any time: the
+    /// first window goes out in one write, and each time half of it
+    /// has been answered the next half-window follows in one write, so
+    /// the server never waits on the client and the whole batch costs
+    /// about one round trip instead of one per request.
+    ///
+    /// `GET` is idempotent, so an I/O failure on a reused connection
+    /// resends the unanswered requests once on a fresh one. A server
+    /// that answers `Connection: close` with requests still unanswered
+    /// has refused them, which is a [`RemoteError::Protocol`].
+    fn get_pipelined(&mut self, paths: &[String]) -> Result<Vec<(u16, Json)>, RemoteError> {
+        let mut responses = Vec::with_capacity(paths.len());
+        let reused = self.stream.is_some();
+        match self.pipeline(paths, &mut responses) {
+            Err(RemoteError::Io(_)) if reused => {
+                let answered = responses.len();
+                self.pipeline(&paths[answered..], &mut responses)?;
             }
-        );
-        let stream = reader.get_mut();
-        stream.write_all(request.as_bytes())?;
-        stream.write_all(payload.as_bytes())?;
-        stream.flush()?;
+            other => other?,
+        }
+        Ok(responses)
+    }
 
+    /// One pipelined pass over `paths`, appending each parsed response
+    /// to `out`. Any error leaves the connection closed, since unread
+    /// responses may still be in flight on it.
+    fn pipeline(
+        &mut self,
+        paths: &[String],
+        out: &mut Vec<(u16, Json)>,
+    ) -> Result<(), RemoteError> {
+        let mut request = Vec::new();
+        let mut sent = 0;
+        for answered in 0..paths.len() {
+            if sent > answered && self.stream.is_none() {
+                return Err(RemoteError::Protocol(format!(
+                    "server closed the connection with {} pipelined request(s) unanswered",
+                    sent - answered
+                )));
+            }
+            if sent < paths.len() && sent - answered <= PIPELINE_WINDOW / 2 {
+                let upto = paths.len().min(answered + PIPELINE_WINDOW);
+                request.clear();
+                for path in &paths[sent..upto] {
+                    render_request(&mut request, "GET", path, None);
+                }
+                self.send(&request)?;
+                sent = upto;
+            }
+            let parsed = self
+                .receive()
+                .and_then(|(status, text)| Ok((status, parse_body(&text)?)));
+            match parsed {
+                Ok(response) => out.push(response),
+                Err(err) => {
+                    self.stream = None;
+                    return Err(err);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes already-rendered request bytes in one call, dialing
+    /// first if needed. A failed write closes the connection.
+    fn send(&mut self, request: &[u8]) -> Result<(), RemoteError> {
+        let result = self.ensure_connected()?.get_mut().write_all(request);
+        if result.is_err() {
+            self.stream = None;
+        }
+        Ok(result?)
+    }
+
+    /// Reads the next response off the connection, closing it on a
+    /// framing error or when the server asked to.
+    fn receive(&mut self) -> Result<(u16, String), RemoteError> {
+        let reader = self
+            .stream
+            .as_mut()
+            .expect("receive follows a successful send");
         let result = Self::read_response(reader);
         if result.is_err() {
             // Never reuse a connection in an unknown framing state.
@@ -259,6 +341,41 @@ impl HttpClient {
     }
 }
 
+/// Appends one HTTP/1.1 request to `buf`: head, then the JSON body
+/// if any.
+fn render_request(buf: &mut Vec<u8>, method: &str, path: &str, body: Option<&str>) {
+    let payload = body.unwrap_or("");
+    buf.reserve(96 + path.len() + payload.len());
+    // Writing into a Vec cannot fail.
+    let _ = write!(
+        buf,
+        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n{}\r\n",
+        payload.len(),
+        if body.is_some() {
+            "Content-Type: application/json\r\n"
+        } else {
+            ""
+        }
+    );
+    buf.extend_from_slice(payload.as_bytes());
+}
+
+fn parse_body(text: &str) -> Result<Json, RemoteError> {
+    json::parse(text)
+        .map_err(|err| RemoteError::Protocol(format!("unparseable body ({err}): {text}")))
+}
+
+/// The body of a 200 response; any other status is an error.
+fn require_200((status, body): (u16, Json)) -> Result<Json, RemoteError> {
+    if status != 200 {
+        return Err(RemoteError::Status {
+            status,
+            body: body.render(),
+        });
+    }
+    Ok(body)
+}
+
 fn expect_u64(value: &Json, field: &str) -> Result<u64, RemoteError> {
     value
         .get(field)
@@ -310,13 +427,7 @@ impl RemoteSystem {
     /// in-process attack would read off the system object directly.
     pub fn connect(addr: impl Into<String>) -> Result<Self, RemoteError> {
         let mut client = HttpClient::new(addr);
-        let (status, info) = client.request("GET", "/info", None)?;
-        if status != 200 {
-            return Err(RemoteError::Status {
-                status,
-                body: info.render(),
-            });
-        }
+        let info = require_200(client.request("GET", "/info", None)?)?;
         let Some(cfg_json) = info.get("config") else {
             return Err(RemoteError::Protocol("missing config object".into()));
         };
@@ -366,24 +477,9 @@ impl RemoteSystem {
         self.shards
     }
 
-    fn expect_200(
-        client: &mut HttpClient,
-        method: &str,
-        path: &str,
-        body: Option<&Json>,
-    ) -> Result<Json, RemoteError> {
-        let (status, value) = client.request(method, path, body)?;
-        if status != 200 {
-            return Err(RemoteError::Status {
-                status,
-                body: value.render(),
-            });
-        }
-        Ok(value)
-    }
-
     /// One full over-the-wire observation: feedback, retrain, poll
-    /// every evaluation user, count target hits.
+    /// every evaluation user (pipelined, see the module docs),
+    /// count target hits.
     pub fn observe_remote(&self, poison: &[Trajectory]) -> Result<Observation, RemoteError> {
         let mut client = self.client.lock().unwrap();
         let trajectories = Json::Arr(
@@ -393,22 +489,22 @@ impl RemoteSystem {
                 .collect(),
         );
         let feedback = Json::obj().field("trajectories", trajectories);
-        Self::expect_200(&mut client, "POST", "/feedback", Some(&feedback))?;
+        require_200(client.request("POST", "/feedback", Some(&feedback))?)?;
 
-        let retrain = Self::expect_200(&mut client, "POST", "/retrain", None)?;
+        let retrain = require_200(client.request("POST", "/retrain", None)?)?;
         let generation = expect_u64(&retrain, "generation")?;
         let seed = expect_u64(&retrain, "seed")?;
         self.observed.store(generation, Ordering::Relaxed);
 
         let k = self.cfg.top_k;
+        let paths: Vec<String> = self
+            .eval_users
+            .iter()
+            .map(|user| format!("/recommend/{user}?k={k}"))
+            .collect();
         let mut rec_num = 0u32;
-        for &user in &self.eval_users {
-            let list = Self::expect_200(
-                &mut client,
-                "GET",
-                &format!("/recommend/{user}?k={k}"),
-                None,
-            )?;
+        for (&user, response) in self.eval_users.iter().zip(client.get_pipelined(&paths)?) {
+            let list = require_200(response)?;
             let served_generation = expect_u64(&list, "generation")?;
             if served_generation != generation {
                 return Err(RemoteError::Protocol(format!(
@@ -481,5 +577,258 @@ impl ObservableSystem for RemoteSystem {
                     .unwrap_or_else(|err| panic!("remote observation failed: {err}"))
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::thread::{self, JoinHandle};
+
+    /// What a scripted server does with one request.
+    enum Reply {
+        /// Answer 200 with this JSON body.
+        Json(String),
+        /// Answer 200 with this JSON body and `Connection: close`,
+        /// then hang up.
+        Close(String),
+        /// Hang up without answering.
+        Drop,
+    }
+
+    /// A one-thread HTTP server that answers each request from
+    /// `script` and logs its `"METHOD path"`, across any number of
+    /// connections. A `GET /stop` request ends it; joining the handle
+    /// returns the log.
+    fn scripted(
+        mut script: impl FnMut(&str) -> Reply + Send + 'static,
+    ) -> (String, JoinHandle<Vec<String>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handle = thread::spawn(move || {
+            let mut log = Vec::new();
+            for stream in listener.incoming() {
+                let mut reader = BufReader::new(stream.expect("accept"));
+                while let Some(line) = read_request(&mut reader) {
+                    if line == "GET /stop" {
+                        return log;
+                    }
+                    log.push(line.clone());
+                    let (body, close) = match script(&line) {
+                        Reply::Json(body) => (body, false),
+                        Reply::Close(body) => (body, true),
+                        Reply::Drop => break,
+                    };
+                    let response = format!(
+                        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n{}\r\n{body}",
+                        body.len(),
+                        if close { "Connection: close\r\n" } else { "" }
+                    );
+                    // The client may already have hung up on an error.
+                    if reader.get_mut().write_all(response.as_bytes()).is_err() || close {
+                        break;
+                    }
+                }
+            }
+            log
+        });
+        (addr, handle)
+    }
+
+    /// Reads one request, body included; `None` at end of stream.
+    fn read_request(reader: &mut BufReader<TcpStream>) -> Option<String> {
+        let mut line = String::new();
+        if reader.read_line(&mut line).ok()? == 0 {
+            return None;
+        }
+        let mut content_length = 0;
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).ok()?;
+            let header = header.trim_end();
+            if header.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = header.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    content_length = value.trim().parse().ok()?;
+                }
+            }
+        }
+        reader.read_exact(&mut vec![0; content_length]).ok()?;
+        let mut parts = line.split_whitespace();
+        Some(format!("{} {}", parts.next()?, parts.next()?))
+    }
+
+    fn stop(addr: &str, server: JoinHandle<Vec<String>>) -> Vec<String> {
+        TcpStream::connect(addr)
+            .and_then(|mut s| s.write_all(b"GET /stop HTTP/1.1\r\nContent-Length: 0\r\n\r\n"))
+            .expect("reach the scripted server");
+        server.join().expect("scripted server panicked")
+    }
+
+    /// More evaluation users than two pipeline windows.
+    const E: u32 = 2 * PIPELINE_WINDOW as u32 + 7;
+    /// The one target item; even users are recommended it.
+    const TARGET: u32 = 9;
+
+    fn info() -> String {
+        let users: Vec<String> = (0..E).map(|u| u.to_string()).collect();
+        format!(
+            "{{\"config\":{{\"eval_users\":{E},\"top_k\":2,\"n_candidates\":5,\"seed\":1,\
+             \"reserve_attackers\":4}},\"target_items\":[{TARGET}],\"num_items\":{TARGET},\
+             \"popularity\":[],\"eval_users\":[{}],\"ranker\":\"scripted\",\
+             \"observations_spent\":0}}",
+            users.join(",")
+        )
+    }
+
+    /// A served system whose retrain publishes generation 1 and whose
+    /// recommend responses come from `recommend(user)`.
+    fn scripted_system(
+        mut recommend: impl FnMut(u32) -> Reply + Send + 'static,
+    ) -> (String, JoinHandle<Vec<String>>) {
+        scripted(move |line| match line {
+            "GET /info" => Reply::Json(info()),
+            "POST /feedback" => Reply::Json("{}".into()),
+            "POST /retrain" => Reply::Json("{\"generation\":1,\"seed\":5}".into()),
+            _ => {
+                let user = line
+                    .strip_prefix("GET /recommend/")
+                    .and_then(|rest| rest.split('?').next())
+                    .and_then(|u| u.parse().ok())
+                    .expect("a recommend request");
+                recommend(user)
+            }
+        })
+    }
+
+    fn list(user: u32, generation: u64) -> Reply {
+        let item = if user.is_multiple_of(2) { TARGET } else { 1 };
+        Reply::Json(format!(
+            "{{\"user\":{user},\"k\":2,\"generation\":{generation},\"items\":[{item},2]}}"
+        ))
+    }
+
+    #[test]
+    fn pipelined_polls_are_answered_in_request_order() {
+        let (addr, server) = scripted_system(|user| list(user, 1));
+        let remote = RemoteSystem::connect(addr.clone()).expect("connect");
+        let observation = remote.observe_remote(&[vec![1, TARGET]]).expect("observe");
+        assert_eq!(observation.rec_num, E.div_ceil(2), "one hit per even user");
+        assert_eq!(observation.seed, 5);
+        assert_eq!(remote.observations_spent(), 1);
+        drop(remote);
+        let mut expected = vec!["GET /info", "POST /feedback", "POST /retrain"]
+            .into_iter()
+            .map(String::from)
+            .collect::<Vec<_>>();
+        expected.extend((0..E).map(|u| format!("GET /recommend/{u}?k=2")));
+        assert_eq!(stop(&addr, server), expected, "2 + E requests, in order");
+    }
+
+    #[test]
+    fn a_stale_generation_late_in_the_pipeline_is_a_protocol_error() {
+        let stale = PIPELINE_WINDOW as u32 + 3;
+        let (addr, server) =
+            scripted_system(move |user| list(user, if user == stale { 2 } else { 1 }));
+        let remote = RemoteSystem::connect(addr.clone()).expect("connect");
+        match remote.observe_remote(&[vec![1, TARGET]]) {
+            Err(RemoteError::Protocol(msg)) => {
+                assert!(msg.contains(&format!("user {stale}")), "{msg}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        drop(remote);
+        stop(&addr, server);
+    }
+
+    #[test]
+    fn connection_close_mid_window_is_a_typed_error() {
+        let (addr, server) = scripted_system(|user| match user {
+            5 => Reply::Close("{\"user\":5,\"k\":2,\"generation\":1,\"items\":[1,2]}".into()),
+            _ => list(user, 1),
+        });
+        let remote = RemoteSystem::connect(addr.clone()).expect("connect");
+        match remote.observe_remote(&[vec![1, TARGET]]) {
+            Err(RemoteError::Protocol(msg)) => assert!(msg.contains("unanswered"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        drop(remote);
+        let log = stop(&addr, server);
+        assert_eq!(
+            log.iter()
+                .filter(|l| l.starts_with("POST /retrain"))
+                .count(),
+            1,
+            "the refused polls must not replay the retrain"
+        );
+    }
+
+    #[test]
+    fn a_connection_lost_mid_pipeline_resends_only_unanswered_polls() {
+        let mut dropped = false;
+        let (addr, server) = scripted_system(move |user| match user {
+            10 if !dropped => {
+                dropped = true;
+                Reply::Drop
+            }
+            _ => list(user, 1),
+        });
+        let remote = RemoteSystem::connect(addr.clone()).expect("connect");
+        let observation = remote.observe_remote(&[vec![1, TARGET]]).expect("observe");
+        assert_eq!(observation.rec_num, E.div_ceil(2));
+        drop(remote);
+        let log = stop(&addr, server);
+        assert_eq!(log.iter().filter(|l| *l == "POST /retrain").count(), 1);
+        let poll = |u: u32| format!("GET /recommend/{u}?k=2");
+        // The first connection served polls 0..=10 and then vanished;
+        // the fresh one is asked for the unanswered suffix only (the
+        // client may have lost a few buffered answers with the reset).
+        assert_eq!(log[3..14], (0..=10).map(poll).collect::<Vec<_>>());
+        let first = E as usize - (log.len() - 14);
+        assert!(first <= 10, "resent polls the client had read: {log:?}");
+        assert_eq!(log[14..], (first as u32..E).map(poll).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_post_whose_response_is_lost_is_not_replayed() {
+        let (addr, server) = scripted(|line| match line {
+            "POST /retrain" => Reply::Drop,
+            _ => Reply::Json("{}".into()),
+        });
+        let mut client = HttpClient::new(addr.clone());
+        client
+            .request("GET", "/healthz", None)
+            .expect("warm the connection");
+        let lost = client.request("POST", "/retrain", None);
+        assert!(matches!(lost, Err(RemoteError::Io(_))), "{lost:?}");
+        assert_eq!(
+            stop(&addr, server),
+            ["GET /healthz", "POST /retrain"],
+            "a replayed retrain would burn a second seed ordinal"
+        );
+    }
+
+    #[test]
+    fn a_get_whose_response_is_lost_is_retried_once() {
+        let mut dropped = false;
+        let (addr, server) = scripted(move |line| match line {
+            "GET /b" if !dropped => {
+                dropped = true;
+                Reply::Drop
+            }
+            _ => Reply::Json("{}".into()),
+        });
+        let mut client = HttpClient::new(addr.clone());
+        client
+            .request("GET", "/a", None)
+            .expect("warm the connection");
+        let (status, _) = client.request("GET", "/b", None).expect("retried");
+        assert_eq!(status, 200);
+        assert_eq!(client.dials(), 2);
+        drop(client);
+        assert_eq!(stop(&addr, server), ["GET /a", "GET /b", "GET /b"]);
     }
 }

@@ -237,6 +237,16 @@ echo "==> attack zoo conformance suite (release)"
 cargo test -q --release --test attack_conformance --test attack_budget \
     --test defense_conformance
 
+echo "==> perfbench tests + attack-wire smoke (pipelined polls, 2+E requests)"
+# The benchmark's own tests, then a 3 s untraced attack-wire run, which
+# exits non-zero if any of its checks fails: exactly 2+E requests per
+# observation (feedback, retrain, one pipelined poll per eval user),
+# the wire reward digest equal to the in-process reference, and zero
+# requests dropped at shutdown.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload attack-wire --seed 1 --seconds 3 --trace 0 >/dev/null
+
 echo "==> perf gate (tiny bench snapshot + perf_diff both ways)"
 # A fresh snapshot must pass against itself, and the committed +20%
 # regression fixture must fail the gate (exit non-zero).

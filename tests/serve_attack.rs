@@ -14,19 +14,23 @@ use datasets::PaperDataset;
 use poisonrec::{ActionSpaceKind, PoisonRecConfig, PoisonRecTrainer, PolicyConfig, PpoConfig};
 use recsys::data::LogView;
 use recsys::rankers::RankerKind;
-use recsys::remote::{HttpClient, RemoteSystem};
+use recsys::remote::{HttpClient, RemoteSystem, PIPELINE_WINDOW};
 use recsys::system::{BlackBoxSystem, ObservableSystem, SystemConfig};
 use runtime::FaultPlan;
 use serve::{RecApp, Server, ServerConfig};
 
 fn small_system(seed: u64) -> BlackBoxSystem {
+    small_system_of(RankerKind::ItemPop, seed, 64)
+}
+
+fn small_system_of(ranker: RankerKind, seed: u64, eval_users: usize) -> BlackBoxSystem {
     let data = PaperDataset::Steam.generate_scaled(0.04, seed);
-    let boxed = RankerKind::ItemPop.build(&LogView::clean(&data), 32);
+    let boxed = ranker.build(&LogView::clean(&data), 32);
     BlackBoxSystem::build(
         data,
         boxed,
         SystemConfig {
-            eval_users: 64,
+            eval_users,
             seed,
             ..SystemConfig::default()
         },
@@ -108,6 +112,56 @@ fn remote_attack_is_bit_identical_to_in_process() {
         let stats = server.shutdown();
         assert_eq!(stats.dropped(), 0, "shutdown dropped requests");
     }
+}
+
+/// The recommend polls are pipelined: with more evaluation users than
+/// two pipeline windows, the attack over a real socket still replays
+/// the in-process run bit for bit, and each observation is exactly
+/// `2 + E` requests (feedback, retrain, one poll per user).
+#[test]
+fn pipelined_polls_replay_in_process_with_two_plus_e_requests() {
+    const STEPS: usize = 2;
+    let eval_users = 2 * PIPELINE_WINDOW + 9;
+
+    let system = || small_system_of(RankerKind::CoVisitation, 7, eval_users);
+    let reference = system();
+    let mut local = PoisonRecTrainer::new(quick_cfg(23), &reference);
+    local.train(&reference, STEPS);
+
+    let server = Server::start(
+        RecApp::new(system(), None),
+        ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind 127.0.0.1:0");
+    let remote = RemoteSystem::connect(server.local_addr().to_string()).expect("connect");
+    assert_eq!(remote.eval_users().len(), eval_users);
+    let mut over_wire = PoisonRecTrainer::new(quick_cfg(23), &remote);
+    over_wire.train(&remote, STEPS);
+    let rewards = |t: &PoisonRecTrainer| -> Vec<(u32, u32)> {
+        t.history()
+            .iter()
+            .map(|s| (s.mean_reward.to_bits(), s.max_reward.to_bits()))
+            .collect()
+    };
+    assert_eq!(rewards(&local), rewards(&over_wire));
+    assert!(
+        local.history().iter().any(|s| s.max_reward > 0.0),
+        "a zero reward cannot prove the reward path"
+    );
+
+    let observations = remote.observations_spent();
+    assert_eq!(observations, reference.observations_spent());
+    drop(remote);
+    let stats = server.shutdown();
+    assert_eq!(stats.dropped(), 0);
+    assert_eq!(
+        stats.accepted,
+        1 + observations * (2 + eval_users as u64),
+        "GET /info plus 2 + E requests per observation"
+    );
 }
 
 /// Graceful shutdown under concurrent read load: every request the
