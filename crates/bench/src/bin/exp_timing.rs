@@ -75,7 +75,7 @@ fn step_time(kind: ActionSpaceKind, num_items: u32, args: &ExpArgs, episodes: us
         let rewards: Vec<f32> = episodes_v.iter().map(|e| e.reward).collect();
         let advs = poisonrec::normalize_rewards(&rewards);
         let refs: Vec<&poisonrec::Episode> = episodes_v.iter().collect();
-        updater.update_batch(&mut policy, &refs, &advs);
+        updater.update_batch(&mut policy, &refs, &advs, args.threads);
     }
     start.elapsed().as_secs_f64()
 }

@@ -14,8 +14,11 @@
 //! sampled trajectory sets to [`ObservableSystem::observe_batch`], which
 //! retrains up to [`PoisonRecConfig::threads`] system clones in
 //! parallel. Observation seeds are fixed before dispatch, so a step's
-//! rewards — and therefore the whole training run — are bit-identical
-//! for every `threads` value.
+//! rewards are bit-identical for every `threads` value. The *update*
+//! phase replays each PPO batch's episodes on up to `threads` pool
+//! lanes and folds their gradients in batch order (see [`crate::ppo`]),
+//! so the whole training run is bit-identical for every `threads`
+//! value too.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -40,9 +43,10 @@ pub struct PoisonRecConfig {
     pub ppo: PpoConfig,
     pub action_space: ActionSpaceKind,
     pub seed: u64,
-    /// Upper bound on concurrent system retrains per scoring phase.
-    /// `1` (the default) keeps every observation on the calling
-    /// thread; results are identical either way.
+    /// Upper bound on concurrent system retrains per scoring phase
+    /// and on concurrent episode replays per PPO update. `1` (the
+    /// default) keeps both on the calling thread; results are
+    /// identical either way.
     pub threads: usize,
 }
 
@@ -327,7 +331,8 @@ impl PoisonRecTrainer {
     }
 
     /// One Algorithm 1 iteration. Costs `M` system retrains, fanned
-    /// out over up to [`PoisonRecConfig::threads`] threads.
+    /// out over up to [`PoisonRecConfig::threads`] threads, then `K`
+    /// PPO epochs whose episode replays fan out over the same number.
     pub fn step(&mut self, system: &dyn ObservableSystem) -> StepStats {
         let m = self.cfg.ppo.samples_per_step;
         // Let the tensor kernels use the same thread budget as the
@@ -391,9 +396,9 @@ impl PoisonRecTrainer {
             } else {
                 rewards.clone()
             };
-            signal_sum += self
-                .updater
-                .update_batch(&mut self.policy, &batch, &advantages);
+            signal_sum +=
+                self.updater
+                    .update_batch(&mut self.policy, &batch, &advantages, self.cfg.threads);
         }
 
         drop(update_span);

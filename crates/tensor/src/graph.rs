@@ -5,8 +5,10 @@
 //! operation evaluates eagerly and records enough information on the
 //! tape to compute vector-Jacobian products in a single reverse sweep.
 //! Gradients of [`crate::ParamSet`] parameters accumulate into a
-//! [`crate::GradStore`], so multiple `backward` calls (e.g. one per
-//! sampled trajectory) naturally sum their gradients.
+//! [`crate::GradSink`] — a [`crate::GradStore`], so multiple `backward`
+//! calls (e.g. one per sampled trajectory) naturally sum their
+//! gradients, or a [`crate::GradJournal`] that logs the adds for a
+//! later, ordered replay into a store.
 //!
 //! Only the operations needed by the PoisonRec reproduction are
 //! implemented, each verified against central finite differences in the
@@ -16,13 +18,20 @@ use std::sync::Arc;
 
 use crate::kernel;
 use crate::matrix::Matrix;
-use crate::params::{GradStore, ParamId, ParamSet};
+use crate::params::{is_consecutive, GradSink, ParamId, ParamSet};
 use crate::profile::{self, OpKind};
 use crate::sparse::Csr;
 
 /// Handle to a node on the tape.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Var(usize);
+
+/// The activation closing a [`Graph::gate`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum GateAct {
+    Sigmoid,
+    Tanh,
+}
 
 enum Op {
     /// External constant input; no gradient propagates past it.
@@ -45,6 +54,15 @@ enum Op {
     /// `a + P` where `P` is a `1 x cols` parameter row broadcast over
     /// the rows of `a` (fused bias add).
     AddRowParam(Var, ParamId),
+    /// `act(x·W + b + h·U)`: one recurrent gate (see [`Graph::gate`]).
+    Gate {
+        x: Var,
+        w: ParamId,
+        b: ParamId,
+        h: Var,
+        u: ParamId,
+        act: GateAct,
+    },
     /// Same-shape addition, or `b` is a `1 x cols` row broadcast over
     /// the rows of `a`.
     Add(Var, Var),
@@ -60,6 +78,20 @@ enum Op {
     Softplus(Var),
     ConcatCols(Var, Var),
     ConcatRows(Var, Var),
+    /// Vertical stack of any number of same-width nodes: one node in
+    /// place of a chain of pairwise `ConcatRows`.
+    StackRows(Vec<Var>),
+    /// `[ Σ_k src[rows[r]]·P[left[r]],  Σ_k src[rows[r]]·P[right[r]] ]`
+    /// per row `r`: the binary-decision logits of the policy replay,
+    /// fused from gather_var + 2 gathers + 2 muls + 2 ones-matmuls +
+    /// concat_cols (see [`Graph::pair_logits`]).
+    PairLogits {
+        src: Var,
+        rows: Vec<u32>,
+        table: ParamId,
+        left: Vec<u32>,
+        right: Vec<u32>,
+    },
     SumAll(Var),
     MeanAll(Var),
     /// Row-wise log-softmax.
@@ -100,6 +132,7 @@ impl Op {
             Op::MatMul(..) | Op::MatMulParam(..) => OpKind::MatMul,
             Op::MatMulT(..) | Op::MatMulTParam(..) => OpKind::MatMulT,
             Op::AddRowParam(..) => OpKind::Add,
+            Op::Gate { .. } => OpKind::Gate,
             Op::Add(..) => OpKind::Add,
             Op::Sub(..) => OpKind::Sub,
             Op::Mul(..) => OpKind::Mul,
@@ -112,6 +145,8 @@ impl Op {
             Op::Softplus(..) => OpKind::Softplus,
             Op::ConcatCols(..) => OpKind::ConcatCols,
             Op::ConcatRows(..) => OpKind::ConcatRows,
+            Op::StackRows(..) => OpKind::StackRows,
+            Op::PairLogits { .. } => OpKind::PairLogits,
             Op::SumAll(..) => OpKind::SumAll,
             Op::MeanAll(..) => OpKind::MeanAll,
             Op::LogSoftmaxRows(..) | Op::LogSoftmaxPick(..) => OpKind::LogSoftmaxRows,
@@ -127,13 +162,6 @@ impl Op {
 struct Node {
     value: Matrix,
     op: Op,
-}
-
-/// Whether `indices` is a consecutive ascending run (`i, i+1, ...`),
-/// letting gather/scatter paths move one contiguous block instead of
-/// one row at a time.
-fn is_consecutive(indices: &[u32]) -> bool {
-    indices.windows(2).all(|w| w[1] == w[0].wrapping_add(1))
 }
 
 /// Freelist of `f32` buffers recycled between graphs, segregated into
@@ -383,6 +411,9 @@ impl<'p> Graph<'p> {
         match op {
             Op::Input | Op::Param(..) | Op::Gather(..) | Op::GatherVar(..) => 0,
             Op::ConcatCols(..) | Op::ConcatRows(..) | Op::PickPerRow(..) => 0,
+            Op::StackRows(..) => 0,
+            // One multiply + one add per embedding element per logit.
+            Op::PairLogits { src, .. } => 2 * self.shape(*src).1 as u64 * out,
             // m×k · k×n: one multiply + one add per output per k
             // (for MatMulT the shared dim is also `a`'s cols).
             Op::MatMul(a, _)
@@ -391,6 +422,8 @@ impl<'p> Graph<'p> {
             | Op::MatMulTParam(a, _) => 2 * self.shape(*a).1 as u64 * out,
             Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Scale(..) | Op::AddScalar(..) => out,
             Op::AddRowParam(..) => out,
+            // Two products, two adds and the activation.
+            Op::Gate { x, h, .. } => (2 * (self.shape(*x).1 + self.shape(*h).1) as u64 + 6) * out,
             Op::Relu(..) | Op::LeakyRelu(..) => out,
             Op::Sigmoid(..) | Op::Tanh(..) | Op::Softplus(..) => 4 * out,
             Op::SumAll(a) | Op::MeanAll(a) => in_elems(a),
@@ -536,6 +569,50 @@ impl<'p> Graph<'p> {
         self.push(m, Op::AddRowParam(a, p))
     }
 
+    /// One recurrent gate, `act(x·W + b + h·U)`, with all three
+    /// parameters read in place. Bit-equal (values and gradients) to
+    /// `act(add(add_row_param(matmul_param(x, W), b), matmul_param(h, U)))`
+    /// — the same products, adds and activation in the same order — but
+    /// the tape keeps only the output instead of five same-sized nodes.
+    pub fn gate(
+        &mut self,
+        x: Var,
+        w: ParamId,
+        b: ParamId,
+        h: Var,
+        u: ParamId,
+        act: GateAct,
+    ) -> Var {
+        let _t = profile::fwd(OpKind::Gate);
+        let threads = kernel::threads();
+        let (rows, _) = self.shape(x);
+        let (wm, bm, um) = (self.params.get(w), self.params.get(b), self.params.get(u));
+        assert!(
+            bm.rows() == 1 && bm.cols() == wm.cols() && um.cols() == wm.cols(),
+            "gate parameter shape mismatch"
+        );
+        assert_eq!(self.shape(h).0, rows, "gate row mismatch");
+        let mut pre = self.pool.zeros(rows, wm.cols());
+        self.nodes[x.0].value.matmul_into(wm, &mut pre, threads);
+        for r in 0..rows {
+            for (v, &bv) in pre.row_slice_mut(r).iter_mut().zip(bm.data()) {
+                *v += bv;
+            }
+        }
+        let mut hu = self.pool.zeros(rows, um.cols());
+        self.nodes[h.0].value.matmul_into(um, &mut hu, threads);
+        pre.axpy(1.0, &hu);
+        self.pool.recycle(hu);
+        let f = match act {
+            GateAct::Sigmoid => stable_sigmoid,
+            GateAct::Tanh => f32::tanh,
+        };
+        for v in pre.data_mut() {
+            *v = f(*v);
+        }
+        self.push(pre, Op::Gate { x, w, b, h, u, act })
+    }
+
     /// Same-shape addition, or row-broadcast when `b` is `1 x cols`.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let _t = profile::fwd(OpKind::Add);
@@ -664,6 +741,84 @@ impl<'p> Graph<'p> {
         data.extend_from_slice(self.nodes[a.0].value.data());
         data.extend_from_slice(self.nodes[b.0].value.data());
         self.push(Matrix::from_vec(ar + br, ac, data), Op::ConcatRows(a, b))
+    }
+
+    /// Stacks `parts` vertically, in order. Bit-equal to folding them
+    /// with pairwise [`Graph::concat_rows`] (values and gradients), but
+    /// the tape holds one output instead of every partial stack — for
+    /// `T` equal parts that chain stores `O(T²)` rows.
+    pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
+        let _t = profile::fwd(OpKind::StackRows);
+        assert!(!parts.is_empty(), "stack_rows needs at least one part");
+        let cols = self.shape(parts[0]).1;
+        let rows: usize = parts.iter().map(|&p| self.shape(p).0).sum();
+        let mut data = self.pool.take(rows * cols);
+        for &p in parts {
+            assert_eq!(self.shape(p).1, cols, "stack_rows col mismatch");
+            data.extend_from_slice(self.nodes[p.0].value.data());
+        }
+        self.push(
+            Matrix::from_vec(rows, cols, data),
+            Op::StackRows(parts.to_vec()),
+        )
+    }
+
+    /// Binary-decision logits: row `r` of the `K x 2` output is
+    /// `[ src[rows[r]]·P[left[r]], src[rows[r]]·P[right[r]] ]` with `P`
+    /// the parameter `table` read in place.
+    ///
+    /// Bit-equal (values and every gradient) to the composition
+    /// `dk = gather_var(src, rows)`, `el/er = gather(table, left/right)`,
+    /// `concat_cols(matmul(mul(dk, el), ones), matmul(mul(dk, er), ones))`
+    /// with `ones` an `e x 1` column: each logit is the same `0 + Σ x·y`
+    /// chain the ones-matmul runs, and the backward replays that
+    /// composition's adjoint order (see the `PairLogits` arm of
+    /// [`Graph::backward_weighted`]). The tape keeps `K x 2` floats
+    /// instead of five `K x e` intermediates.
+    pub fn pair_logits(
+        &mut self,
+        src: Var,
+        rows: &[u32],
+        table: ParamId,
+        left: &[u32],
+        right: &[u32],
+    ) -> Var {
+        let _t = profile::fwd(OpKind::PairLogits);
+        assert!(
+            rows.len() == left.len() && rows.len() == right.len(),
+            "pair_logits index length mismatch"
+        );
+        let emb = self.params.get(table);
+        let sv = &self.nodes[src.0].value;
+        assert_eq!(sv.cols(), emb.cols(), "pair_logits width mismatch");
+        let dot = |x: &[f32], y: &[f32]| {
+            let mut acc = 0.0f32;
+            for (&a, &b) in x.iter().zip(y) {
+                acc += a * b;
+            }
+            acc
+        };
+        let it = rows
+            .iter()
+            .zip(left.iter().zip(right))
+            .flat_map(|(&d, (&l, &r))| {
+                let d = sv.row_slice(d as usize);
+                [
+                    dot(d, emb.row_slice(l as usize)),
+                    dot(d, emb.row_slice(r as usize)),
+                ]
+            });
+        let value = self.pool.collect(rows.len(), 2, it);
+        self.push(
+            value,
+            Op::PairLogits {
+                src,
+                rows: rows.to_vec(),
+                table,
+                left: left.to_vec(),
+                right: right.to_vec(),
+            },
+        )
     }
 
     // ---- reductions & losses ----------------------------------------------
@@ -816,7 +971,10 @@ impl<'p> Graph<'p> {
         };
         match &self.nodes[i].op {
             Op::Input | Op::Param(..) | Op::Gather(..) | Op::GatherVar(..) => 0,
-            Op::ConcatCols(..) | Op::ConcatRows(..) => 0,
+            Op::ConcatCols(..) | Op::ConcatRows(..) | Op::StackRows(..) => 0,
+            // Per row and embedding element: two products into d(src)
+            // and their sum, two table products, one scatter add.
+            Op::PairLogits { src, .. } => 3 * self.shape(*src).1 as u64 * out,
             // dA and dB are each a full product over the same three
             // dims as the forward: twice the forward FLOPs.
             Op::MatMul(a, _)
@@ -825,6 +983,9 @@ impl<'p> Graph<'p> {
             | Op::MatMulTParam(a, _) => 4 * self.shape(*a).1 as u64 * out,
             Op::Add(..) | Op::Sub(..) | Op::Scale(..) | Op::AddScalar(..) => out,
             Op::AddRowParam(..) => out,
+            // Both products' dA and dP, the bias column sum and the
+            // activation's VJP.
+            Op::Gate { x, h, .. } => (4 * (self.shape(*x).1 + self.shape(*h).1) as u64 + 4) * out,
             Op::Mul(..) => 2 * out,
             Op::Relu(..) | Op::LeakyRelu(..) => out,
             Op::Sigmoid(..) | Op::Tanh(..) => 3 * out,
@@ -841,12 +1002,53 @@ impl<'p> Graph<'p> {
         }
     }
 
+    /// VJP of `a · P` with the parameter read in place: sends
+    /// `dP = Aᵀ·G` to `grads` and returns `dA = G·Pᵀ`. Same products
+    /// as the `MatMul` arm with `B = P` (bit-identical: the param node
+    /// this replaces had exactly this one consumer); `dA` runs against
+    /// the sweep-cached transpose in `tposed` — the same
+    /// materialize-then-multiply `matmul_t` performs, minus the
+    /// per-call transpose.
+    fn matmul_param_vjp<S: GradSink + ?Sized>(
+        &self,
+        a: Var,
+        pid: ParamId,
+        g: &Matrix,
+        tposed: &mut [Option<Vec<f32>>],
+        pool: &mut BufferPool,
+        grads: &mut S,
+    ) -> Matrix {
+        let threads = kernel::threads();
+        let av = &self.nodes[a.0].value;
+        let pv = self.params.get(pid);
+        let pt = tposed[pid.0].get_or_insert_with(|| {
+            let mut buf = pool.take(pv.len());
+            kernel::transpose_into(pv.data(), pv.rows(), pv.cols(), &mut buf);
+            buf
+        });
+        let mut da = pool.zeros(g.rows(), pv.rows());
+        kernel::matmul(
+            g.data(),
+            g.rows(),
+            g.cols(),
+            pt,
+            pv.rows(),
+            da.data_mut(),
+            threads,
+        );
+        let mut dp = pool.zeros(av.cols(), g.cols());
+        av.t_matmul_into(g, &mut dp, threads);
+        grads.add(pid, &dp);
+        pool.recycle(dp);
+        da
+    }
+
     /// Reverse sweep from the scalar `root`, accumulating parameter
     /// gradients into `grads`.
     ///
     /// # Panics
     /// Panics if `root` is not `1 x 1`.
-    pub fn backward(&mut self, root: Var, grads: &mut GradStore) {
+    pub fn backward<S: GradSink + ?Sized>(&mut self, root: Var, grads: &mut S) {
         assert_eq!(self.shape(root), (1, 1), "backward root must be scalar");
         self.backward_weighted(root, 1.0, grads);
     }
@@ -858,7 +1060,12 @@ impl<'p> Graph<'p> {
     /// Adjoint buffers come from (and return to) this graph's pool, so
     /// repeated sweeps over arena-built graphs run allocation-free in
     /// the steady state.
-    pub fn backward_weighted(&mut self, root: Var, weight: f32, grads: &mut GradStore) {
+    pub fn backward_weighted<S: GradSink + ?Sized>(
+        &mut self,
+        root: Var,
+        weight: f32,
+        grads: &mut S,
+    ) {
         assert_eq!(self.shape(root), (1, 1), "backward root must be scalar");
         // Detach the scratch from `self` so the sweep can hold `&self`
         // node borrows alongside mutable pool/adjoint state.
@@ -931,29 +1138,11 @@ impl<'p> Graph<'p> {
             match &self.nodes[i].op {
                 Op::Input => pool.recycle(g),
                 Op::Param(id) => {
-                    grads.get_mut(*id).axpy(1.0, &g);
+                    grads.add(*id, &g);
                     pool.recycle(g);
                 }
                 Op::Gather(id, indices) => {
-                    // Consecutive indices scatter-add as one block pass
-                    // (same element order as the row loop, so the same
-                    // bits land either way).
-                    let table = grads.get_mut(*id);
-                    if let Some(&start) = indices.first().filter(|_| is_consecutive(indices)) {
-                        let cols = g.cols();
-                        let start = start as usize * cols;
-                        let dst = &mut table.data_mut()[start..start + indices.len() * cols];
-                        for (d, &s) in dst.iter_mut().zip(g.data()) {
-                            *d += s;
-                        }
-                    } else {
-                        for (r, &idx) in indices.iter().enumerate() {
-                            let dst = table.row_slice_mut(idx as usize);
-                            for (d, &s) in dst.iter_mut().zip(g.row_slice(r)) {
-                                *d += s;
-                            }
-                        }
-                    }
+                    grads.add_rows(*id, indices, &g);
                     pool.recycle(g);
                 }
                 Op::GatherVar(src, indices) => {
@@ -993,34 +1182,7 @@ impl<'p> Graph<'p> {
                     pool.recycle(g);
                 }
                 Op::MatMulParam(a, pid) => {
-                    // Same products as the MatMul arm with B = P, but
-                    // dP skips the tape and lands in the grad store
-                    // (bit-identical: the param node it replaces had
-                    // exactly this one consumer). dA = G * P^T runs
-                    // against the sweep-cached transpose — the same
-                    // materialize-then-multiply `matmul_t` performs,
-                    // minus the per-call transpose.
-                    let av = &self.nodes[a.0].value;
-                    let pv = self.params.get(*pid);
-                    let pt = tposed[pid.0].get_or_insert_with(|| {
-                        let mut buf = pool.take(pv.len());
-                        kernel::transpose_into(pv.data(), pv.rows(), pv.cols(), &mut buf);
-                        buf
-                    });
-                    let mut da = pool.zeros(g.rows(), pv.rows());
-                    kernel::matmul(
-                        g.data(),
-                        g.rows(),
-                        g.cols(),
-                        pt,
-                        pv.rows(),
-                        da.data_mut(),
-                        threads,
-                    );
-                    let mut dp = pool.zeros(av.cols(), g.cols());
-                    av.t_matmul_into(&g, &mut dp, threads);
-                    grads.get_mut(*pid).axpy(1.0, &dp);
-                    pool.recycle(dp);
+                    let da = self.matmul_param_vjp(*a, *pid, &g, &mut tposed, &mut pool, grads);
                     accumulate(&mut adj, *a, Adjoint::Dense(da), &mut pool);
                     pool.recycle(g);
                 }
@@ -1032,28 +1194,38 @@ impl<'p> Graph<'p> {
                     g.matmul_into(pv, &mut da, threads);
                     let mut dp = pool.zeros(g.cols(), av.cols());
                     g.t_matmul_into(av, &mut dp, threads);
-                    grads.get_mut(*pid).axpy(1.0, &dp);
+                    grads.add(*pid, &dp);
                     pool.recycle(dp);
                     accumulate(&mut adj, *a, Adjoint::Dense(da), &mut pool);
                     pool.recycle(g);
                 }
                 Op::AddRowParam(a, pid) => {
-                    // Mirrors the two Add paths exactly: a 1-row
-                    // gradient is added as-is (preserving `-0.0` bits a
-                    // column-sum would launder), taller ones column-sum.
-                    if g.rows() == 1 {
-                        grads.get_mut(*pid).axpy(1.0, &g);
-                    } else {
-                        let mut db = pool.zeros(1, g.cols());
-                        for r in 0..g.rows() {
-                            for (d, &s) in db.data_mut().iter_mut().zip(g.row_slice(r)) {
-                                *d += s;
-                            }
-                        }
-                        grads.get_mut(*pid).axpy(1.0, &db);
-                        pool.recycle(db);
-                    }
+                    row_param_vjp(*pid, &g, &mut pool, grads);
                     accumulate(&mut adj, *a, Adjoint::Dense(g), &mut pool);
+                }
+                Op::Gate { x, w, b, h, u, act } => {
+                    // The unfused gate's sweep: the activation's VJP,
+                    // then the Add hands the same gradient to `h·U`
+                    // (processed first, being later on the tape), to
+                    // the bias row, and to `x·W`.
+                    let (r, c) = g.shape();
+                    let y = self.nodes[i].value.data();
+                    let pairs = g.data().iter().zip(y);
+                    let gs = match act {
+                        GateAct::Sigmoid => {
+                            pool.collect(r, c, pairs.map(|(&gv, &yv)| gv * yv * (1.0 - yv)))
+                        }
+                        GateAct::Tanh => {
+                            pool.collect(r, c, pairs.map(|(&gv, &yv)| gv * (1.0 - yv * yv)))
+                        }
+                    };
+                    pool.recycle(g);
+                    let dh = self.matmul_param_vjp(*h, *u, &gs, &mut tposed, &mut pool, grads);
+                    accumulate(&mut adj, *h, Adjoint::Dense(dh), &mut pool);
+                    row_param_vjp(*b, &gs, &mut pool, grads);
+                    let dx = self.matmul_param_vjp(*x, *w, &gs, &mut tposed, &mut pool, grads);
+                    accumulate(&mut adj, *x, Adjoint::Dense(dx), &mut pool);
+                    pool.recycle(gs);
                 }
                 Op::Add(a, b) => {
                     let (br, bc) = self.shape(*b);
@@ -1207,6 +1379,66 @@ impl<'p> Graph<'p> {
                     );
                     pool.recycle(g);
                 }
+                Op::StackRows(parts) => {
+                    // Hands each part its slice in the order a chain of
+                    // pairwise concats would: the chain's backward
+                    // reaches the last part first and the first two
+                    // parts last, so a part stacked twice sums its
+                    // slices in the same order either way.
+                    let mut offsets = Vec::with_capacity(parts.len());
+                    let mut start = 0;
+                    for &p in parts.iter() {
+                        offsets.push(start);
+                        start += self.nodes[p.0].value.len();
+                    }
+                    let n = parts.len();
+                    for k in (2..n).rev().chain(0..n.min(2)) {
+                        let (pr, pc) = self.shape(parts[k]);
+                        let mut buf = pool.take(pr * pc);
+                        buf.extend_from_slice(&g.data()[offsets[k]..offsets[k] + pr * pc]);
+                        let slice = Adjoint::Dense(Matrix::from_vec(pr, pc, buf));
+                        accumulate(&mut adj, parts[k], slice, &mut pool);
+                    }
+                    pool.recycle(g);
+                }
+                Op::PairLogits {
+                    src,
+                    rows,
+                    table,
+                    left,
+                    right,
+                } => {
+                    // Replays the unfused block's sweep expression for
+                    // expression. Each ones-matmul hands its product
+                    // `0.0 + g·1` per element; the right product's
+                    // contribution reaches d(dk) first, so
+                    // `d(dk) = gr·er + gl·el`; the right-row table adds
+                    // (`gr·dk`) land before the left-row ones; and the
+                    // gather_var scatters d(dk) into a zeroed `d(src)`.
+                    let sv = &self.nodes[src.0].value;
+                    let emb = self.params.get(*table);
+                    let (k, e) = (rows.len(), sv.cols());
+                    let mut d_src = pool.zeros(sv.rows(), e);
+                    let mut gl = pool.take(k);
+                    let mut gr = pool.take(k);
+                    for (r, ((&d, &l), &rr)) in rows.iter().zip(left).zip(right).enumerate() {
+                        let (gl_r, gr_r) = (0.0 + g.at(r, 0) * 1.0, 0.0 + g.at(r, 1) * 1.0);
+                        gl.push(gl_r);
+                        gr.push(gr_r);
+                        let el = emb.row_slice(l as usize);
+                        let er = emb.row_slice(rr as usize);
+                        let ds = d_src.row_slice_mut(d as usize);
+                        for c in 0..e {
+                            ds[c] += gr_r * er[c] + gl_r * el[c];
+                        }
+                    }
+                    grads.add_scaled_rows(*table, right, &gr, sv, rows);
+                    grads.add_scaled_rows(*table, left, &gl, sv, rows);
+                    pool.put(gr);
+                    pool.put(gl);
+                    accumulate(&mut adj, *src, Adjoint::Dense(d_src), &mut pool);
+                    pool.recycle(g);
+                }
                 Op::SumAll(a) => {
                     let (ar, ac) = self.shape(*a);
                     let da = pool.full(ar, ac, g.at(0, 0));
@@ -1329,6 +1561,30 @@ impl<'p> Graph<'p> {
         self.adj = adj;
         self.pool = pool;
     }
+}
+
+/// Sends a broadcast bias row's gradient to `grads`, mirroring the two
+/// `Add` paths exactly: a 1-row gradient is added as-is (preserving
+/// `-0.0` bits a column-sum would launder), taller ones column-sum.
+fn row_param_vjp<S: GradSink + ?Sized>(
+    pid: ParamId,
+    g: &Matrix,
+    pool: &mut BufferPool,
+    grads: &mut S,
+) {
+    let db = if g.rows() == 1 {
+        pool.copy_of(g)
+    } else {
+        let mut db = pool.zeros(1, g.cols());
+        for r in 0..g.rows() {
+            for (d, &s) in db.data_mut().iter_mut().zip(g.row_slice(r)) {
+                *d += s;
+            }
+        }
+        db
+    };
+    grads.add(pid, &db);
+    pool.recycle(db);
 }
 
 /// Folds `g` into node `v`'s pending adjoint. First gradient in wins

@@ -39,8 +39,8 @@ pub mod sparse;
 pub mod util;
 pub mod wire;
 
-pub use graph::{stable_sigmoid, stable_softplus, Graph, GraphArena, Var};
+pub use graph::{stable_sigmoid, stable_softplus, GateAct, Graph, GraphArena, Var};
 pub use matrix::Matrix;
-pub use params::{GradStore, ParamId, ParamSet};
+pub use params::{GradJournal, GradSink, GradStore, ParamId, ParamSet};
 pub use profile::{OpKind, OpProfile, OpProfileRow};
 pub use sparse::Csr;

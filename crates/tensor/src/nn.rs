@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use crate::graph::{Graph, Var};
+use crate::graph::{GateAct, Graph, Var};
 use crate::params::{ParamId, ParamSet};
 
 /// Fully-connected layer `y = x W + b`.
@@ -183,21 +183,12 @@ impl LstmCell {
         LstmState { h, c }
     }
 
-    fn gate(&self, g: &mut Graph<'_>, w: &Linear, u: ParamId, x: Var, h: Var) -> Var {
-        let xw = w.forward(g, x);
-        let hu = g.matmul_param(h, u);
-        g.add(xw, hu)
-    }
-
     pub fn step(&self, g: &mut Graph<'_>, x: Var, state: LstmState) -> LstmState {
-        let i_pre = self.gate(g, &self.wi, self.ui, x, state.h);
-        let i = g.sigmoid(i_pre);
-        let f_pre = self.gate(g, &self.wf, self.uf, x, state.h);
-        let f = g.sigmoid(f_pre);
-        let o_pre = self.gate(g, &self.wo, self.uo, x, state.h);
-        let o = g.sigmoid(o_pre);
-        let g_pre = self.gate(g, &self.wg, self.ug, x, state.h);
-        let gg = g.tanh(g_pre);
+        let h = state.h;
+        let i = g.gate(x, self.wi.w, self.wi.b, h, self.ui, GateAct::Sigmoid);
+        let f = g.gate(x, self.wf.w, self.wf.b, h, self.uf, GateAct::Sigmoid);
+        let o = g.gate(x, self.wo.w, self.wo.b, h, self.uo, GateAct::Sigmoid);
+        let gg = g.gate(x, self.wg.w, self.wg.b, h, self.ug, GateAct::Tanh);
         let fc = g.mul(f, state.c);
         let ig = g.mul(i, gg);
         let c = g.add(fc, ig);

@@ -54,11 +54,14 @@ pub enum OpKind {
     BceWithLogits,
     MseMasked,
     SqSum,
+    StackRows,
+    PairLogits,
+    Gate,
 }
 
 impl OpKind {
     /// Every kind, in declaration order (= table index order).
-    pub const ALL: [OpKind; 26] = [
+    pub const ALL: [OpKind; 29] = [
         OpKind::Input,
         OpKind::Param,
         OpKind::Gather,
@@ -85,6 +88,9 @@ impl OpKind {
         OpKind::BceWithLogits,
         OpKind::MseMasked,
         OpKind::SqSum,
+        OpKind::StackRows,
+        OpKind::PairLogits,
+        OpKind::Gate,
     ];
 
     pub fn name(self) -> &'static str {
@@ -115,6 +121,9 @@ impl OpKind {
             OpKind::BceWithLogits => "BceWithLogits",
             OpKind::MseMasked => "MseMasked",
             OpKind::SqSum => "SqSum",
+            OpKind::StackRows => "StackRows",
+            OpKind::PairLogits => "PairLogits",
+            OpKind::Gate => "Gate",
         }
     }
 }

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::nn::{Activation, GruCell, LstmCell, Mlp};
 use tensor::sparse::Csr;
-use tensor::{GradStore, Graph, Matrix, ParamSet, Var};
+use tensor::{GateAct, GradStore, Graph, Matrix, ParamSet, Var};
 
 const EPS: f32 = 1e-3;
 /// Relative tolerance: f32 finite differences are noisy, so we accept
@@ -447,4 +447,266 @@ fn log_softmax_pick_is_bit_identical_to_composition() {
     };
 
     assert_eq!(run(true), run(false));
+}
+
+/// Bit patterns for exact comparison, with every NaN mapped to one
+/// canonical pattern: IEEE 754 leaves NaN sign/payload to the
+/// implementation, so only NaN-ness has to agree.
+fn canon_bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn stack_rows_gradient() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let a = params.add("a", Matrix::uniform(2, 3, 0.8, &mut rng));
+    let b = params.add("b", Matrix::uniform(1, 3, 0.8, &mut rng));
+    let c = params.add("c", Matrix::uniform(3, 3, 0.8, &mut rng));
+    gradcheck(&mut params, |g| {
+        let av = g.param(a);
+        let ta = g.tanh(av);
+        let bv = g.param(b);
+        let cv = g.param(c);
+        // A part stacked twice sums both slices' gradients.
+        let s = g.stack_rows(&[ta, bv, cv, ta]);
+        let t = g.tanh(s);
+        g.sq_sum(t)
+    });
+}
+
+/// `stack_rows` must reproduce the chain of pairwise `concat_rows` it
+/// replaces bit for bit: values, and the gradients of parts that are
+/// stacked more than once and also consumed elsewhere (so the order
+/// in which slices reach each part's adjoint matters).
+#[test]
+fn stack_rows_is_bit_identical_to_concat_chain() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let ids: Vec<_> = (0..3)
+        .map(|i| params.add(format!("p{i}"), Matrix::uniform(2, 4, 2.0, &mut rng)))
+        .collect();
+    let weights = Matrix::uniform(12, 4, 3.0, &mut rng);
+
+    let run = |fused: bool| {
+        let mut grads = GradStore::zeros_like(&params);
+        let mut g = Graph::new(&params);
+        let parts: Vec<Var> = ids
+            .iter()
+            .map(|&id| {
+                let p = g.param(id);
+                g.tanh(p)
+            })
+            .collect();
+        let order = [parts[0], parts[1], parts[0], parts[2], parts[0], parts[1]];
+        let stacked = if fused {
+            g.stack_rows(&order)
+        } else {
+            let mut acc = order[0];
+            for &p in &order[1..] {
+                acc = g.concat_rows(acc, p);
+            }
+            acc
+        };
+        let w = g.input(weights.clone());
+        let weighted = g.mul(stacked, w);
+        let obj = g.sum_all(weighted);
+        let extra = g.sq_sum(parts[0]);
+        let loss = g.add(obj, extra);
+        g.backward_weighted(loss, -0.37, &mut grads);
+        let value = canon_bits(g.value(stacked).data());
+        let gbits: Vec<Vec<u32>> = ids
+            .iter()
+            .map(|&id| canon_bits(grads.get(id).data()))
+            .collect();
+        (value, gbits)
+    };
+
+    assert_eq!(run(true), run(false));
+}
+
+#[test]
+fn pair_logits_gradient() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let d = params.add("d", Matrix::uniform(5, 4, 0.8, &mut rng));
+    let table = params.add("table", Matrix::uniform(6, 4, 0.8, &mut rng));
+    gradcheck(&mut params, |g| {
+        let dv = g.param(d);
+        let src = g.tanh(dv);
+        // Repeated rows, a row whose children coincide, and a table
+        // row used as both a left and a right child.
+        let logits = g.pair_logits(src, &[0, 3, 3, 4], table, &[1, 2, 5, 2], &[2, 2, 0, 1]);
+        let picked = g.log_softmax_pick(logits, &[0, 1, 1, 0]);
+        let s = g.sum_all(picked);
+        g.scale(s, -1.0)
+    });
+}
+
+/// Runs the BCBT pair block either fused or as the seven-op
+/// composition it replaces, and returns the logits plus every
+/// gradient, as canonical bits. `upstream` weights each logit before
+/// the sum, so zero and `-0.0` upstream gradients can be injected.
+fn pair_block(
+    params: &ParamSet,
+    src_id: tensor::ParamId,
+    table: tensor::ParamId,
+    idx: (&[u32], &[u32], &[u32]),
+    upstream: &Matrix,
+    fused: bool,
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let (rows, left, right) = idx;
+    let mut grads = GradStore::zeros_like(params);
+    let mut g = Graph::new(params);
+    let dv = g.param(src_id);
+    let src = g.tanh(dv);
+    let logits = if fused {
+        g.pair_logits(src, rows, table, left, right)
+    } else {
+        let dk = g.gather_var(src, rows);
+        let el = g.gather(table, left);
+        let er = g.gather(table, right);
+        let pl = g.mul(dk, el);
+        let pr = g.mul(dk, er);
+        let ones = g.input(Matrix::full(params.get(table).cols(), 1, 1.0));
+        let ll = g.matmul(pl, ones);
+        let lr = g.matmul(pr, ones);
+        g.concat_cols(ll, lr)
+    };
+    let w = g.input(upstream.clone());
+    let weighted = g.mul(logits, w);
+    let obj = g.sum_all(weighted);
+    // A second consumer of `src`, so the pair block's gradient lands
+    // on an adjoint that already holds one.
+    let extra = g.sq_sum(src);
+    let loss = g.add(obj, extra);
+    g.backward_weighted(loss, -0.75, &mut grads);
+    let value = canon_bits(g.value(logits).data());
+    let gbits = [src_id, table]
+        .iter()
+        .map(|&id| canon_bits(grads.get(id).data()))
+        .collect();
+    (value, gbits)
+}
+
+/// The fused pair block must match the unfused composition bit for
+/// bit in its logits and in every `GradStore` entry: with repeated
+/// `rows`/`left`/`right` indices, with `-0.0` and `0.0` upstream
+/// gradients, and with a NaN row (NaN-ness must agree).
+#[test]
+fn pair_logits_is_bit_identical_to_unfused_block() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let src = params.add("src", Matrix::uniform(6, 5, 2.0, &mut rng));
+    let table = params.add("table", Matrix::uniform(7, 5, 2.0, &mut rng));
+    let rows = [0u32, 2, 2, 5, 1, 0, 3];
+    let left = [1u32, 3, 3, 6, 0, 4, 2];
+    let right = [2u32, 4, 3, 1, 0, 6, 6];
+    let idx = (&rows[..], &left[..], &right[..]);
+
+    let mut upstream = Matrix::uniform(rows.len(), 2, 3.0, &mut rng);
+    upstream.set(1, 0, -0.0);
+    upstream.set(3, 1, -0.0);
+    upstream.set(4, 1, 0.0);
+    let fused = pair_block(&params, src, table, idx, &upstream, true);
+    assert_eq!(
+        fused,
+        pair_block(&params, src, table, idx, &upstream, false)
+    );
+
+    // A NaN in one source row poisons exactly the logits and gradient
+    // entries it reaches, identically in both forms.
+    params.get_mut(src).set(2, 3, f32::NAN);
+    let fused = pair_block(&params, src, table, idx, &upstream, true);
+    assert!(
+        fused.0.contains(&f32::NAN.to_bits()),
+        "NaN row did not propagate"
+    );
+    assert_eq!(
+        fused,
+        pair_block(&params, src, table, idx, &upstream, false)
+    );
+}
+
+#[test]
+fn gate_gradient() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let x = params.add("x", Matrix::uniform(3, 4, 0.8, &mut rng));
+    let h = params.add("h", Matrix::uniform(3, 5, 0.8, &mut rng));
+    let w = params.add("w", Matrix::uniform(4, 5, 0.8, &mut rng));
+    let b = params.add("b", Matrix::uniform(1, 5, 0.8, &mut rng));
+    let u = params.add("u", Matrix::uniform(5, 5, 0.8, &mut rng));
+    for act in [GateAct::Sigmoid, GateAct::Tanh] {
+        gradcheck(&mut params, |g| {
+            let xv = g.param(x);
+            let hv = g.param(h);
+            let y = g.gate(xv, w, b, hv, u, act);
+            g.sq_sum(y)
+        });
+    }
+}
+
+/// The fused gate must match `act(add(add_row_param(matmul_param(x,
+/// W), b), matmul_param(h, U)))` bit for bit: its output and every
+/// gradient, with `x` and `h` also consumed elsewhere (so the order in
+/// which the gate's contributions reach their adjoints matters), for
+/// a one-row batch (the bias add's uncollapsed path) and a taller one.
+#[test]
+fn gate_is_bit_identical_to_unfused_composition() {
+    let mut rng = rng();
+    for rows in [1, 4] {
+        let mut params = ParamSet::new();
+        let x = params.add("x", Matrix::uniform(rows, 3, 2.0, &mut rng));
+        let h = params.add("h", Matrix::uniform(rows, 5, 2.0, &mut rng));
+        let w = params.add("w", Matrix::uniform(3, 5, 0.8, &mut rng));
+        let b = params.add("b", Matrix::uniform(1, 5, 0.8, &mut rng));
+        let u = params.add("u", Matrix::uniform(5, 5, 0.8, &mut rng));
+        let run = |act: GateAct, fused: bool| {
+            let mut grads = GradStore::zeros_like(&params);
+            let mut g = Graph::new(&params);
+            let xp = g.param(x);
+            let xv = g.tanh(xp);
+            let hp = g.param(h);
+            let hv = g.sigmoid(hp);
+            let y = if fused {
+                g.gate(xv, w, b, hv, u, act)
+            } else {
+                let xw = g.matmul_param(xv, w);
+                let pre = g.add_row_param(xw, b);
+                let hu = g.matmul_param(hv, u);
+                let s = g.add(pre, hu);
+                match act {
+                    GateAct::Sigmoid => g.sigmoid(s),
+                    GateAct::Tanh => g.tanh(s),
+                }
+            };
+            let y2 = g.gate(xv, w, b, hv, u, GateAct::Tanh);
+            let prod = g.mul(y, y2);
+            let s1 = g.sum_all(prod);
+            let s2 = g.sq_sum(xv);
+            let s3 = g.sq_sum(hv);
+            let s12 = g.add(s1, s2);
+            let loss = g.add(s12, s3);
+            g.backward_weighted(loss, -1.3, &mut grads);
+            let value = canon_bits(g.value(y).data());
+            let gbits: Vec<Vec<u32>> = [x, h, w, b, u]
+                .iter()
+                .map(|&id| canon_bits(grads.get(id).data()))
+                .collect();
+            (value, gbits)
+        };
+        for act in [GateAct::Sigmoid, GateAct::Tanh] {
+            assert_eq!(run(act, true), run(act, false), "rows={rows} {act:?}");
+        }
+    }
 }

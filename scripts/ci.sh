@@ -237,7 +237,7 @@ echo "==> attack zoo conformance suite (release)"
 cargo test -q --release --test attack_conformance --test attack_budget \
     --test defense_conformance
 
-echo "==> perfbench tests + attack-wire smoke (pipelined polls, 2+E requests)"
+echo "==> perfbench tests + attack-wire and attack-local smokes"
 # The benchmark's own tests, then a 3 s untraced attack-wire run, which
 # exits non-zero if any of its checks fails: exactly 2+E requests per
 # observation (feedback, retrain, one pipelined poll per eval user),
@@ -246,6 +246,12 @@ echo "==> perfbench tests + attack-wire smoke (pipelined polls, 2+E requests)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload attack-wire --seed 1 --seconds 3 --trace 0 >/dev/null
+# A 3 s untraced attack-local run: the in-process cell whose PPO
+# update fans its episode replays over the worker pool. It exits
+# non-zero unless the final mean RecNum is > 0 and
+# observations_spent == steps x M.
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload attack-local --seed 1 --seconds 3 --trace 0 >/dev/null
 
 echo "==> perf gate (tiny bench snapshot + perf_diff both ways)"
 # A fresh snapshot must pass against itself, and the committed +20%

@@ -8,6 +8,7 @@ use recsys::data::{LogView, Trajectory};
 use recsys::rankers::RankerKind;
 use recsys::system::{BlackBoxSystem, Observation, SystemConfig};
 use runtime::WorkerPool;
+use tensor::wire::Codec;
 
 fn build_system(ranker: RankerKind, seed: u64) -> BlackBoxSystem {
     let data = datasets::PaperDataset::Phone.generate_scaled(0.03, seed);
@@ -179,40 +180,114 @@ fn gradients_are_kernel_thread_count_invariant() {
     assert_eq!(g1, grads_at(8), "kernel threads=8 changed gradients");
 }
 
+/// A short PoisonRec run on `ranker` under action space `kind`, with
+/// `threads` bounding both the scoring and the update fan-out.
+fn train_cell(
+    ranker: RankerKind,
+    kind: ActionSpaceKind,
+    threads: usize,
+    steps: usize,
+) -> PoisonRecTrainer {
+    let system = build_system(ranker, 13);
+    let cfg = PoisonRecConfig::builder()
+        .seed(13)
+        .threads(threads)
+        .action_space(kind)
+        // N · T · e = 4096: large enough that the update fans its
+        // episode replays out over the pool (ppo::PAR_MIN_REPLAY_ELEMS).
+        .policy(PolicyConfig {
+            dim: 16,
+            num_attackers: 16,
+            trajectory_len: 16,
+            init_scale: 0.1,
+        })
+        .ppo(PpoConfig {
+            samples_per_step: 8,
+            batch: 8,
+            epochs: 2,
+            ..PpoConfig::default()
+        })
+        .build_for(&system)
+        .expect("valid config");
+    let mut trainer = PoisonRecTrainer::new(cfg, &system);
+    trainer.train(&system, steps);
+    trainer
+}
+
+/// Fails unless some step had a learning signal: rewards that vary
+/// within the step (so Eq. 8 advantages are not all zero) and a
+/// non-zero mean decision weight (so the update really moved the
+/// policy). Without this, bit-identity of a policy that no gradient
+/// reached would prove nothing about the update.
+fn assert_update_ran(trainer: &PoisonRecTrainer, what: &str) {
+    let learned = trainer
+        .history()
+        .iter()
+        .filter(|s| s.max_reward > s.mean_reward && s.ppo_signal > 0.0)
+        .count();
+    assert!(
+        learned > 0,
+        "{what}: no step had a non-zero advantage, so no update ran"
+    );
+}
+
+/// The bit patterns of every policy parameter and of the Adam state
+/// (step counter and both moment sets), in the checkpoint encoding.
+fn update_state_bytes(trainer: &PoisonRecTrainer) -> (Vec<u8>, Vec<u8>) {
+    let state = trainer.export_state();
+    (state.params.to_bytes(), state.optimizer.to_bytes())
+}
+
+#[test]
+fn ppo_update_is_bit_identical_at_any_thread_count() {
+    // The update replays a batch's episodes on the worker pool and
+    // folds their gradients in batch order. BCBT exercises the fused
+    // pair-logit block; Plain exercises the flat-softmax range groups.
+    // Every parameter and Adam moment must match bit for bit at every
+    // thread count, and the parameters must hash to the value the
+    // sequential update produced (recorded before the fan-out existed).
+    for (kind, pinned) in [
+        (ActionSpaceKind::BcbtPopular, PINNED_BCBT),
+        (ActionSpaceKind::Plain, PINNED_PLAIN),
+    ] {
+        let reference = train_cell(RankerKind::CoVisitation, kind, 1, 3);
+        assert_update_ran(&reference, &format!("{kind} threads=1"));
+        let (params, moments) = update_state_bytes(&reference);
+        assert_eq!(
+            poisonrec::checkpoint::fnv1a64(&params),
+            pinned,
+            "{kind}: parameters after 3 steps drifted from the pinned hash"
+        );
+        for threads in [2, 8] {
+            let trainer = train_cell(RankerKind::CoVisitation, kind, threads, 3);
+            assert_update_ran(&trainer, &format!("{kind} threads={threads}"));
+            let (p, m) = update_state_bytes(&trainer);
+            assert!(p == params, "{kind}: threads={threads} changed parameters");
+            assert!(m == moments, "{kind}: threads={threads} changed Adam state");
+        }
+    }
+}
+
+/// FNV-1a of the encoded parameters after 3 steps of the cells above.
+const PINNED_BCBT: u64 = 4323019131784715989;
+const PINNED_PLAIN: u64 = 16509247242914945773;
+
 #[test]
 fn full_training_run_is_thread_count_invariant() {
     // End-to-end: a short PoisonRec run against a real (BPR) system
-    // produces identical telemetry whether the scoring phase runs on
-    // one thread or eight.
-    let run = |threads: usize| {
-        let system = build_system(RankerKind::Bpr, 13);
-        let cfg = PoisonRecConfig::builder()
-            .seed(13)
-            .threads(threads)
-            .action_space(ActionSpaceKind::BcbtPopular)
-            .policy(PolicyConfig {
-                dim: 8,
-                num_attackers: 6,
-                trajectory_len: 8,
-                init_scale: 0.1,
-            })
-            .ppo(PpoConfig {
-                samples_per_step: 8,
-                batch: 8,
-                epochs: 2,
-                ..PpoConfig::default()
-            })
-            .build_for(&system)
-            .expect("valid config");
-        let mut trainer = PoisonRecTrainer::new(cfg, &system);
-        trainer.train(&system, 2).to_vec()
-    };
-    let h1 = run(1);
-    let h8 = run(8);
-    for (a, b) in h1.iter().zip(&h8) {
+    // produces identical telemetry and an identical policy whether
+    // the scoring and update phases run on one thread or eight.
+    let t1 = train_cell(RankerKind::Bpr, ActionSpaceKind::BcbtPopular, 1, 2);
+    let t8 = train_cell(RankerKind::Bpr, ActionSpaceKind::BcbtPopular, 8, 2);
+    assert_update_ran(&t1, "BPR threads=1");
+    for (a, b) in t1.history().iter().zip(t8.history()) {
         assert_eq!(a.mean_reward, b.mean_reward);
         assert_eq!(a.max_reward, b.max_reward);
         assert_eq!(a.ppo_signal, b.ppo_signal);
         assert_eq!(a.target_click_ratio, b.target_click_ratio);
     }
+    assert!(
+        update_state_bytes(&t1) == update_state_bytes(&t8),
+        "thread count changed the trained policy or its Adam state"
+    );
 }
